@@ -11,7 +11,11 @@
 //   - bursty: tight 1ms clusters spaced 100s apart — stresses intra-bucket
 //     sorting and rebucketing;
 //   - far-horizon: 90% near-term, 10% up to 10^4x further out — stresses
-//     the overflow year and year-advance rebuilds.
+//     the overflow year and year-advance rebuilds;
+//   - binade hold: a steady population of 2000 self-rescheduling events
+//     (exponential holds) driven from t~0.5 s to 64 s — the key image
+//     halves its density per binade of t, so this stresses re-deriving
+//     the day width as the population moves (the crowding trigger).
 // Each shape runs under the engine default (calendar, plain name — the
 // name the CI regression gate tracks) and under the heap fallback (the
 // `Heap` suffix), so every committed BENCH_pr<N>.json carries its own
@@ -136,6 +140,44 @@ void BM_EventQueueFarHorizonHeap(benchmark::State& state) {
       state, far_horizon_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueueFarHorizonHeap)->Arg(16384);
+
+// Hold model: pop the minimum, re-push it one exponential hold later, until
+// the clock passes 64 s.  The holds are drawn once, so every iteration and
+// both policies replay the same timestamps; one item is one pop.
+template <typename Queue>
+void hold_binades(benchmark::State& state) {
+  constexpr std::size_t kPopulation = 2000;
+  constexpr double kEnd = 64.0;
+  util::Rng rng(5);
+  std::vector<double> holds(std::size_t{1} << 18);
+  for (auto& h : holds) h = rng.exponential(0.64);
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    Queue q;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < kPopulation; ++i) {
+      q.push(0.5 + holds[next++], [] {});
+    }
+    for (;;) {
+      const double t = q.pop().time;
+      ++pops;
+      if (t >= kEnd) break;
+      q.push(t + holds[next++ & (holds.size() - 1)], [] {});
+    }
+    benchmark::DoNotOptimize(q.live_count());
+  }
+  state.SetItemsProcessed(pops);
+}
+
+void BM_EventQueueBinadeHold(benchmark::State& state) {
+  hold_binades<sim::EventQueue>(state);
+}
+BENCHMARK(BM_EventQueueBinadeHold);
+
+void BM_EventQueueBinadeHoldHeap(benchmark::State& state) {
+  hold_binades<sim::HeapEventQueue>(state);
+}
+BENCHMARK(BM_EventQueueBinadeHoldHeap);
 
 // Self-rescheduling functor: the idiomatic shape for recurring events on
 // the allocation-free engine (a recursive std::function would wrap a heap

@@ -4,11 +4,11 @@
 
 namespace emcast::sim {
 
-void CalendarPendingSet::sort_bucket(std::size_t b) {
+bool CalendarPendingSet::sort_bucket(std::size_t b) {
   const std::uint32_t head = heads_[b] & kIndexMask;
   if (pool_[head].next == kNil) {  // single node: trivially sorted
     heads_[b] = head | kSortedBit;
-    return;
+    return true;
   }
   // Permute the payloads through scratch storage; the chain's node set is
   // reused, so sorting allocates nothing once the buffers are warm.
@@ -18,17 +18,27 @@ void CalendarPendingSet::sort_bucket(std::size_t b) {
     idx_scratch_.push_back(idx);
     scratch_.push_back(pool_[idx].entry);
   }
+  const std::size_t k = idx_scratch_.size();
+  if (k > kCrowdedChain && pops_since_rebuild_ >= size_ &&
+      size_ <= reserved_) {
+    // Crowded front bucket: the day width went stale (see "Crowding
+    // trigger" in the header).  Re-derive it within the reserved arenas:
+    // same bucket count, no more entries than they hold.
+    rebuild(nullptr, heads_.size());
+    return false;
+  }
   std::sort(scratch_.begin(), scratch_.end(),
             [](const PendingEntry& a, const PendingEntry& b2) {
               return entry_before(a, b2);
             });
-  const std::size_t k = idx_scratch_.size();
   for (std::size_t i = 0; i < k; ++i) {
     Node& n = pool_[idx_scratch_[i]];
     n.entry = scratch_[i];
     n.next = i + 1 < k ? idx_scratch_[i + 1] : kNil;
   }
   heads_[b] = idx_scratch_[0] | kSortedBit;
+  sorted_entries_ += k;
+  return true;
 }
 
 void CalendarPendingSet::insert_batch(const PendingEntry* entries,
@@ -174,6 +184,8 @@ void CalendarPendingSet::clear() noexcept {
   mode_switches_ = 0;
   rebuilds_ = 0;
   year_advances_ = 0;
+  sorted_entries_ = 0;
+  pops_since_rebuild_ = 0;
 }
 
 void CalendarPendingSet::collapse_to_small() {
@@ -211,10 +223,12 @@ void CalendarPendingSet::collapse_to_small() {
 void CalendarPendingSet::advance_year() {
   // Reached with every bucket empty (heads all kNil, bitmap zero) and the
   // whole population in the overflow heap: re-aim the year at the overflow
-  // minimum — keeping the bucket count and day width, which track the
-  // population size and spacing, not its position — and admit the new
+  // minimum, keeping the bucket count and day width, and admit the new
   // year's events.  No clearing, no scratch, no allocation: the node pool
-  // is reserved for the full population at every rebuild.
+  // is reserved for the full population at every rebuild.  The kept width
+  // may be stale — key units stretch in seconds as t grows, so the same
+  // width spans more events further out — and locate_min's crowding
+  // trigger re-derives it when the buckets crowd.
   ++year_advances_;
   assert(!overflow_.empty() && in_buckets_ == 0);
   year_base_ = overflow_.min().time_key &
@@ -236,7 +250,8 @@ void CalendarPendingSet::advance_year() {
   }
 }
 
-void CalendarPendingSet::rebuild(const PendingEntry* extra) {
+void CalendarPendingSet::rebuild(const PendingEntry* extra,
+                                 std::size_t max_buckets) {
   cursor_ = kNoCursor;
   // A push below year_base forced this rebuild: leave a quarter-year of
   // headroom under the new minimum, so a descending key sequence re-bases
@@ -264,11 +279,12 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   if (extra != nullptr) scratch_.push_back(*extra);
   const std::size_t n = scratch_.size();
 
-  // ---- derive the geometry: bucket count tracks the population, day
-  // width tracks the mean key gap of the denser lower half, so bursts get
-  // fine days and far-future stragglers ride the overflow heap.
+  // ---- derive the geometry: bucket count tracks the population (capped
+  // at max_buckets), and the day width is the mean key gap of the trimmed
+  // population as it stands now, so bursts get fine days and far-future
+  // stragglers ride the overflow heap.
   std::size_t nbuckets = kMinBuckets;
-  while (nbuckets < n && nbuckets < kMaxBuckets) nbuckets <<= 1;
+  while (nbuckets < n && nbuckets < max_buckets) nbuckets <<= 1;
   std::uint32_t shift = 0;
   std::uint64_t kmin = 0;
   if (n != 0) {
@@ -321,6 +337,7 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   if (heads_.size() < nbuckets) heads_.resize(nbuckets);
   if (occupied_.size() < words) occupied_.resize(words);
   overflow_.reserve(staging);
+  reserved_ = std::max(reserved_, staging);
 
   // ---- commit: nothrow from here on.
   heads_.resize(nbuckets);
@@ -351,6 +368,7 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
     }
   }
   ++rebuilds_;
+  pops_since_rebuild_ = 0;
 }
 
 }  // namespace emcast::sim

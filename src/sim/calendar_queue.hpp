@@ -24,13 +24,27 @@
 // into a sorted bucket just clears it.
 //
 // Resize / re-aim.  The bucket count tracks the live population
-// (grow at load factor 2, shrink at 1/8) and the day width tracks the
-// event spacing: at every rebuild the width is the mean key gap over the
-// trimmed 90th-percentile span (an nth_element, O(n)), so the bulk of
-// the population fits the year while the far-future tail beyond p90
-// rides the overflow heap.  A push below year_base re-bases the year
-// (full rebuild with a quarter-year of downward slack); a push into an
-// empty queue just re-aims the existing year at the new key in O(1).
+// (grow at load factor 2, shrink at 1/8).  The day width is the mean key
+// gap over the trimmed 90th-percentile span (an nth_element, O(n)), so
+// the bulk of the population fits the year while the far-future tail
+// beyond p90 rides the overflow heap.  A push below year_base re-bases
+// the year (full rebuild with a quarter-year of downward slack); a push
+// into an empty queue just re-aims the existing year at the new key in
+// O(1).
+//
+// Crowding trigger.  A width in key units goes stale with position, not
+// only with population: the key is the bit image of the double, so each
+// time t doubles a key unit spans twice as many seconds, and a fixed day
+// holds twice as many events of a steady population.  Size-driven
+// rebuilds never see that drift, so the buckets crowd and every pop pays
+// an O(k log k) lazy sort.  When the lazy sort meets a chain longer than
+// kCrowdedChain, it re-derives the width from the live population instead
+// (Brown's calendar-queue re-sizing on bucket imbalance) — but only once
+// at least size() pops have passed since the last rebuild, which keeps
+// the O(n) rebuild amortised O(1) per pop and stops a bucket of equal
+// keys (which no width can split) from thrashing.  That rebuild keeps
+// the bucket count and fires only while the population fits the arenas
+// earlier rebuilds reserved, so it never allocates.
 //
 // Determinism.  Pop order is exactly (time_key, seq) regardless of bucket
 // geometry: equal keys share a bucket, earlier days live in earlier
@@ -109,6 +123,9 @@ class CalendarPendingSet {
   std::size_t overflow_count() const { return overflow_.size(); }
   std::uint64_t rebuild_count() const { return rebuilds_; }
   std::uint64_t year_advance_count() const { return year_advances_; }
+  /// Entries permuted by lazy bucket sorts since construction or clear():
+  /// divided by the pop count, the mean crowding of the front bucket.
+  std::uint64_t sorted_entry_count() const { return sorted_entries_; }
   bool small_mode() const { return small_mode_; }
   std::uint64_t mode_switches() const { return mode_switches_; }
   std::uint32_t day_shift() const { return day_shift_; }
@@ -135,6 +152,10 @@ class CalendarPendingSet {
   /// (Key spans are wide: the integer time image inflates one double
   /// binade to 2^52 key units, so even a [0, 1000)s horizon spans ~2^56.)
   static constexpr std::uint32_t kMaxDayShift = 47;
+  /// A lazily sorted chain longer than this means the day width went
+  /// stale (see "Crowding trigger" in the header comment).  A freshly
+  /// derived width averages about one entry per day.
+  static constexpr std::size_t kCrowdedChain = 64;
 
   struct Node {
     PendingEntry entry;
@@ -178,13 +199,18 @@ class CalendarPendingSet {
   void collapse_to_small();  ///< move every bucket entry into the heap
   std::size_t find_first_occupied() const;
   std::size_t locate_min();
-  void sort_bucket(std::size_t b);
+  /// Sort bucket b's chain, or, when the chain is crowded and the
+  /// crowding trigger may fire, re-derive the geometry instead and return
+  /// false: the caller then searches for the front bucket again.
+  bool sort_bucket(std::size_t b);
   void maybe_shrink();
   void advance_year();
   /// Collect everything (plus `extra`, if any), re-derive the bucket count
-  /// and day width, and redistribute.  Strong exception guarantee: all
-  /// allocation happens before anything is torn down.
-  void rebuild(const PendingEntry* extra);
+  /// (at most `max_buckets`) and day width, and redistribute.  Strong
+  /// exception guarantee: all allocation happens before anything is torn
+  /// down.
+  void rebuild(const PendingEntry* extra,
+               std::size_t max_buckets = kMaxBuckets);
 
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
@@ -217,6 +243,13 @@ class CalendarPendingSet {
   std::uint64_t mode_switches_ = 0;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t year_advances_ = 0;
+  std::uint64_t sorted_entries_ = 0;
+  /// Calendar-mode pops since the last rebuild: the crowding trigger's
+  /// amortisation budget.
+  std::size_t pops_since_rebuild_ = 0;
+  /// Entries every arena holds room for: the largest staging any rebuild
+  /// reserved (capacities never shrink, clear() included).
+  std::size_t reserved_ = 0;
 };
 
 // ---- hot path, kept inline so the event loop sees through the calls ----
@@ -326,7 +359,9 @@ inline std::size_t CalendarPendingSet::locate_min() {
     }
     const std::size_t b = find_first_occupied();
     hint_ = b;
-    if ((heads_[b] & kSortedBit) == 0) [[unlikely]] sort_bucket(b);
+    if ((heads_[b] & kSortedBit) == 0) [[unlikely]] {
+      if (!sort_bucket(b)) continue;  // crowded: geometry re-derived
+    }
     cursor_ = b;
     return b;
   }
@@ -334,6 +369,7 @@ inline std::size_t CalendarPendingSet::locate_min() {
 
 inline PendingEntry CalendarPendingSet::structure_pop() {
   if (small_mode_) return overflow_.pop_min();
+  ++pops_since_rebuild_;
   const std::size_t b = locate_min();
   const std::uint32_t node = heads_[b] & kIndexMask;
   Node& n = pool_[node];

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,8 +35,7 @@ struct Op {
 };
 
 template <typename Queue>
-std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
-  Queue q;
+std::vector<TraceEvent> run_script(const std::vector<Op>& ops, Queue& q) {
   std::vector<TraceEvent> trace;
   std::vector<EventHandle> handles;
   int next_id = 0;
@@ -71,6 +72,12 @@ std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
     trace.back().time = fired.time;
   }
   return trace;
+}
+
+template <typename Queue>
+std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
+  Queue q;
+  return run_script(ops, q);
 }
 
 void expect_identical(const std::vector<Op>& ops) {
@@ -160,6 +167,59 @@ TEST(CalendarDeterminism, DrainRefillCyclesReaimTheYear) {
     base += 1e4;  // jump the horizon so every refill re-aims
   }
   expect_identical(ops);
+}
+
+TEST(CalendarQueue, HoldAcrossBinadesKeepsBucketsUncrowded) {
+  // The classic hold model: a steady population of self-rescheduling
+  // events, each popped and re-pushed an exponential hold time later,
+  // driven from t~0.5 s to t=64 s.  The integer time image halves its
+  // key density per binade of t, so a day width derived near t=0.5 spans
+  // ~128x more events by t=64: without the crowding trigger the front
+  // bucket grows to hundreds of entries and every push into it forces a
+  // re-sort (~14 sorted entries per pop).  The script is derived from a
+  // reference min-queue of times, so any correct policy replays it.
+  constexpr int kPopulation = 2000;
+  constexpr double kMeanHold = 0.64;
+  constexpr double kEnd = 64.0;
+  util::Rng rng(21);
+  std::vector<Op> ops;
+  std::priority_queue<double, std::vector<double>, std::greater<>> times;
+  for (int i = 0; i < kPopulation; ++i) {
+    const double t = 0.5 + rng.exponential(kMeanHold);
+    times.push(t);
+    ops.push_back(Op{Op::kPush, t, 0});
+  }
+  for (;;) {
+    const double t = times.top();
+    times.pop();
+    ops.push_back(Op{Op::kPop, 0.0, 0});
+    if (t >= kEnd) break;
+    const double next = t + rng.exponential(kMeanHold);
+    times.push(next);
+    ops.push_back(Op{Op::kPush, next, 0});
+  }
+  expect_identical(ops);
+
+  CalendarEventQueue q;
+  const std::size_t pops = run_script(ops, q).size();
+  ASSERT_GT(pops, 150000u);
+  const auto& cal = q.pending_policy();
+  const double sorted_per_pop =
+      static_cast<double>(cal.sorted_entry_count()) /
+      static_cast<double>(pops);
+  EXPECT_LT(sorted_per_pop, 3.0)
+      << "front buckets crowd as t grows: the day width went stale";
+
+  // The re-derivations stay inside the arenas the promotion rebuild
+  // reserved: the whole hold ends at the capacities of its first pushes.
+  CalendarEventQueue warm;
+  run_script(std::vector<Op>(ops.begin(), ops.begin() + kPopulation), warm);
+  const auto& fresh = warm.pending_policy();
+  EXPECT_GT(cal.rebuild_count(), fresh.rebuild_count());
+  EXPECT_EQ(cal.pool_capacity(), fresh.pool_capacity());
+  EXPECT_EQ(cal.heads_capacity(), fresh.heads_capacity());
+  EXPECT_EQ(cal.scratch_capacity(), fresh.scratch_capacity());
+  EXPECT_EQ(cal.overflow().capacity(), fresh.overflow().capacity());
 }
 
 TEST(CalendarQueue, WorkloadActuallyExercisesTheCalendarMachinery) {
